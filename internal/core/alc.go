@@ -272,11 +272,17 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			accum = accumulate(accum, items)
 			continue // re-execute holding the lease: no further remote aborts
 		}
+		// seqMu: Seqs must leave in allocation order (see its declaration).
+		r.seqMu.Lock()
 		tid := r.nextTxnID()
+		if txnIDHook != nil {
+			txnIDHook(tid)
+		}
 		ch := r.registerWaiter(tid)
 		if r.cfg.Batch.Disable {
 			r.markSent([]stm.TxnID{tid}, time.Now())
 			if err := s.ep.URBroadcast(&applyWSMsg{TxnID: tid, LeaseID: held, WS: ws}); err != nil {
+				r.seqMu.Unlock()
 				r.inflight.release(wsCls)
 				r.dropWaiter(tid)
 				txn.Abort()
@@ -287,6 +293,7 @@ func (r *Replica) atomicALC(fn func(*stm.Txn) error) error {
 			// are resolved at self-delivery (or failed on ejection).
 			s.coal.enqueue(applyWSEntry{TxnID: tid, LeaseID: held, WS: ws}, wsCls)
 		}
+		r.seqMu.Unlock()
 
 		if err := <-ch; err != nil {
 			txn.Abort()

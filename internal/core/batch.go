@@ -612,12 +612,16 @@ func (s *applyScheduler) drain(shard int) {
 	s.mu.Unlock()
 }
 
-// close lets workers exit once the queue runs dry. Submitted tasks still
-// complete (Close drains via the GCS shutdown before calling this).
+// close lets workers exit once the queue runs dry and blocks until every
+// submitted task has finished, so nothing applies (or logs) after it
+// returns. The caller must have stopped every submitter first.
 func (s *applyScheduler) close() {
 	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
+	for s.inFlightAll > 0 {
+		s.cond.Wait()
+	}
 	s.mu.Unlock()
 }
 

@@ -537,6 +537,7 @@ func (r *Replica) Stats() Stats {
 		s.Queues.GCS.Outbox += qs.Outbox
 		s.Queues.GCS.URBPending += qs.URBPending
 		s.Queues.GCS.URBRetained += qs.URBRetained
+		s.Queues.GCS.URBAcks += qs.URBAcks
 		s.Queues.GCS.SeqQueue += qs.SeqQueue
 		s.Queues.GCS.Dispatch += qs.Dispatch
 	}
@@ -597,8 +598,8 @@ func (r *Replica) Close() error {
 		r.mux.Close()
 	}
 	if r.sched != nil {
-		// The dispatchers have exited: no further submissions. Let the
-		// workers finish the queue and terminate.
+		// The dispatchers have exited: no further submissions. Wait for the
+		// workers to finish the queue before the log closes under them.
 		r.sched.close()
 	}
 	// After dispatchers and workers are gone nothing appends: final fsync.
@@ -622,6 +623,10 @@ func (r *Replica) Seed(values map[string]stm.Value) error {
 	}
 	return nil
 }
+
+// txnIDHook, when set (tests only), runs right after a URB-lane commit
+// allocates its TxnID, inside the seqMu section.
+var txnIDHook func(stm.TxnID)
 
 // nextTxnID allocates a cluster-unique transaction identifier.
 func (r *Replica) nextTxnID() stm.TxnID {

@@ -137,12 +137,14 @@ func init() {
 type durShard struct {
 	frontier   map[transport.ID]uint64
 	toFrontier int64
-	// ring is the retained suffix of applied entries, oldest first, capped
-	// at cfg.Retain; evicted[w] / evictedTO are the highest URB Seq per
-	// writer / TO ordinal dropped from the ring (a joiner needing anything
-	// at or below them that it does not already have must take a full
-	// transfer).
+	// ring is the retained suffix of applied entries, a circular buffer
+	// capped at cfg.Retain: until it fills, entries are appended in order;
+	// once full, head is the oldest slot and a push overwrites it. evicted[w]
+	// / evictedTO are the highest URB Seq per writer / TO ordinal dropped
+	// from the ring (a joiner needing anything at or below them that it does
+	// not already have must take a full transfer).
 	ring      []applyWSEntry
+	head      int
 	evicted   map[transport.ID]uint64
 	evictedTO int64
 	// hasState means the store content exactly equals the frontier-implied
@@ -388,25 +390,28 @@ func (d *durable) toOrd(shard int) int64 {
 	return d.shards[shard].toFrontier
 }
 
-// pushRetainedLocked appends one applied entry to the shard's delta window,
-// evicting from the front when over capacity. Caller holds d.mu (or has
-// exclusive access during recovery).
+// pushRetainedLocked adds one applied entry to the shard's delta window in
+// O(1): once the ring is full it overwrites the oldest slot and folds that
+// entry into the eviction marks. Caller holds d.mu (or has exclusive access
+// during recovery).
 func (d *durable) pushRetainedLocked(sh *durShard, e applyWSEntry) {
-	if len(sh.ring) >= d.cfg.Retain {
-		old := sh.ring[0]
-		// Shift rather than reslice so the backing array is reused and the
-		// evicted entry is released.
-		copy(sh.ring, sh.ring[1:])
-		sh.ring = sh.ring[:len(sh.ring)-1]
-		if old.Ord > 0 {
-			if old.Ord > sh.evictedTO {
-				sh.evictedTO = old.Ord
-			}
-		} else if old.TxnID.Seq > sh.evicted[old.TxnID.Replica] {
-			sh.evicted[old.TxnID.Replica] = old.TxnID.Seq
-		}
+	if len(sh.ring) < d.cfg.Retain {
+		sh.ring = append(sh.ring, e)
+		return
 	}
-	sh.ring = append(sh.ring, e)
+	old := sh.ring[sh.head]
+	if old.Ord > 0 {
+		if old.Ord > sh.evictedTO {
+			sh.evictedTO = old.Ord
+		}
+	} else if old.TxnID.Seq > sh.evicted[old.TxnID.Replica] {
+		sh.evicted[old.TxnID.Replica] = old.TxnID.Seq
+	}
+	sh.ring[sh.head] = e
+	sh.head++
+	if sh.head == len(sh.ring) {
+		sh.head = 0
+	}
 }
 
 // append is the durability tier's entry on the apply path, called BEFORE the
@@ -454,8 +459,11 @@ func (d *durable) append(shard int, entries []applyWSEntry) []applyWSEntry {
 		}
 		d.pushRetainedLocked(sh, e)
 	}
-	logIt := d.log != nil && len(fresh) > 0
-	if logIt {
+	var log *wal.Log
+	if len(fresh) > 0 {
+		log = d.log // read under d.mu: close and disableLog clear it
+	}
+	if log != nil {
 		d.sinceSnap += len(fresh)
 		if d.cfg.SnapshotEvery > 0 && d.sinceSnap >= d.cfg.SnapshotEvery {
 			d.wantSnap.Store(true)
@@ -463,14 +471,14 @@ func (d *durable) append(shard int, entries []applyWSEntry) []applyWSEntry {
 	}
 	d.mu.Unlock()
 
-	if logIt {
+	if log != nil {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&walRecord{Shard: shard, Entries: fresh}); err != nil {
 			// Unencodable values (unregistered types): degrade to memory-only
 			// rather than blocking commits.
 			d.errors.Inc()
 			d.disableLog()
-		} else if n, err := d.log.Append(buf.Bytes()); err != nil {
+		} else if n, err := log.Append(buf.Bytes()); err != nil {
 			d.errors.Inc()
 			d.disableLog()
 		} else {
@@ -606,7 +614,8 @@ func (d *durable) delta(shard int, f map[transport.ID]uint64) ([]applyWSEntry, b
 		}
 	}
 	var out []applyWSEntry
-	for _, e := range sh.ring {
+	for i := range sh.ring {
+		e := sh.ring[(sh.head+i)%len(sh.ring)]
 		if e.Ord > 0 {
 			if e.Ord > fTO {
 				out = append(out, e)
@@ -640,6 +649,7 @@ func (d *durable) installFull(shard int, f map[transport.ID]uint64, store *stm.S
 	sh.toFrontier = int64(f[transport.Nobody])
 	sh.evictedTO = sh.toFrontier
 	sh.ring = nil
+	sh.head = 0
 	d.sinceSnap = 0
 	sh.hasState = true
 	hasLog := d.log != nil

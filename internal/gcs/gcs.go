@@ -356,6 +356,10 @@ type QueueStats struct {
 	URBPending int `json:"urbPending"`
 	// URBRetained counts delivered messages retained for flush/stability.
 	URBRetained int `json:"urbRetained"`
+	// URBAcks is the size of the URB acknowledgment table: one entry per
+	// message not yet known stable, including acks that arrived ahead of
+	// their data.
+	URBAcks int `json:"urbAcks"`
 	// SeqQueue is the sequencer's backlog of unassigned total-order slots
 	// (nonzero only on the coordinator).
 	SeqQueue int `json:"seqQueue"`
@@ -372,6 +376,7 @@ func (e *Endpoint) QueueStats() QueueStats {
 		Outbox:      len(e.outbox),
 		URBPending:  len(e.vs.pending),
 		URBRetained: len(e.vs.retained),
+		URBAcks:     len(e.vs.acks),
 		SeqQueue:    len(e.vs.seqQueue),
 		Dispatch:    len(e.tr.Inbox()),
 	}

@@ -41,6 +41,9 @@ func (m *Manager) HandleRequestTO(req *Request) {
 	} else {
 		m.tracef("TO %v pos=%d classes=%v wild=%t", req.ID, st.pos, req.Classes, req.Wildcard)
 		st.enqueued = true
+		if req.Wildcard {
+			m.wilds = append(m.wilds, st)
+		}
 		for _, cc := range req.Classes {
 			q := m.queues[cc]
 			m.queues[cc] = append(q, st)
@@ -190,7 +193,7 @@ func (m *Manager) blockConflictingLocalLocked(classes []ConflictClass, except *r
 				m.noteBlockedLocked(st, by)
 				m.tracef("block %v active=%d", st.req.ID, st.active)
 			}
-			st.blocked = true
+			m.blockLocked(st)
 		}
 	}
 }
@@ -204,7 +207,7 @@ func (m *Manager) blockAllLocalLocked(except *reqState, by transport.ID) {
 				m.noteBlockedLocked(st, by)
 				m.tracef("block %v active=%d (wild)", st.req.ID, st.active)
 			}
-			st.blocked = true
+			m.blockLocked(st)
 		}
 	}
 }
@@ -311,13 +314,12 @@ func (m *Manager) maybeDetectDeadlockLocked() {
 func (m *Manager) maybeFreeAllLocked() {
 	var batch []RequestID
 	var freedStates []*reqState
-	for id, st := range m.reqs {
-		if st.local && st.enqueued && st.blocked && !st.freed && !st.aborted &&
-			!st.replacePending && st.active == 0 {
+	for _, st := range m.liveLocked(&m.blockedLocal) {
+		if st.enqueued && !st.aborted && !st.replacePending && st.active == 0 {
 			st.freed = true
 			m.emitTransition(OpFree, st, 0)
 			m.dequeueLocked(st)
-			batch = append(batch, id)
+			batch = append(batch, st.req.ID)
 			freedStates = append(freedStates, st)
 		}
 	}

@@ -239,6 +239,13 @@ type Manager struct {
 	stopped          bool
 	lastDeadlockScan time.Time
 
+	// wilds indexes the enqueued wildcard requests and blockedLocal the
+	// blocked local requests, so the per-commit checks (wildcard precedence,
+	// drained release) need not scan every request. Both are pruned lazily:
+	// see liveLocked.
+	wilds        []*reqState
+	blockedLocal []*reqState
+
 	nRequested metrics.Counter
 	nReused    metrics.Counter
 	nAcquired  metrics.Counter
@@ -360,7 +367,7 @@ func (m *Manager) getLease(dataSet []string, freeFirst []RequestID, old RequestI
 			// the new request; mark the old one unusable for reuse and
 			// reserve its release for the piggyback.
 			st.active--
-			st.blocked = true
+			m.blockLocked(st)
 			st.replacePending = true
 		}
 	}
@@ -500,17 +507,46 @@ func (m *Manager) TryReuse(dataSet []string) (RequestID, bool) {
 	if m.usableLocked() != nil {
 		return RequestID{}, false
 	}
-	for _, st := range m.reqs {
-		if st.local && st.enqueued && !st.blocked && !st.freed && !st.aborted &&
-			(st.req.Wildcard || subset(classes, st.req.Classes)) && m.enabledLocked(st) {
-			st.active++
-			m.nReused.Inc()
-			m.emitTransition(OpReuse, st, 0)
-			m.tracef("tryreuse %v active=%d", st.req.ID, st.active)
-			return st.req.ID, true
+	st := m.reusableLocked(classes)
+	if st == nil {
+		return RequestID{}, false
+	}
+	st.active++
+	m.nReused.Inc()
+	m.emitTransition(OpReuse, st, 0)
+	m.tracef("tryreuse %v active=%d", st.req.ID, st.active)
+	return st.req.ID, true
+}
+
+// reusableLocked finds a local enabled, unblocked, unreleased request
+// covering classes. A covering non-wildcard request contains classes[0] and,
+// being enqueued and unreleased, sits in that class's queue; the only other
+// candidates are the wildcards. An empty class set is covered by any
+// request, so it falls back to the full scan.
+func (m *Manager) reusableLocked(classes []ConflictClass) *reqState {
+	ok := func(st *reqState) bool {
+		return st.local && st.enqueued && !st.blocked && !st.freed && !st.aborted &&
+			(st.req.Wildcard || subset(classes, st.req.Classes)) && m.enabledLocked(st)
+	}
+	if len(classes) == 0 {
+		for _, st := range m.reqs {
+			if ok(st) {
+				return st
+			}
+		}
+		return nil
+	}
+	for _, st := range m.queues[classes[0]] {
+		if ok(st) {
+			return st
 		}
 	}
-	return RequestID{}, false
+	for _, st := range m.liveLocked(&m.wilds) {
+		if ok(st) {
+			return st
+		}
+	}
+	return nil
 }
 
 // HasCoverage reports whether any local request — enabled, queued, or still
@@ -573,6 +609,30 @@ func (m *Manager) Finished(id RequestID) {
 	m.tracef("finished %v active=%d blocked=%t", id, st.active, st.blocked)
 	m.maybeFreeAllLocked()
 	m.gcLocked(st)
+}
+
+// blockLocked applies the fairness block to a local request, indexing it
+// for maybeFreeAllLocked.
+func (m *Manager) blockLocked(st *reqState) {
+	if !st.blocked {
+		st.blocked = true
+		m.blockedLocal = append(m.blockedLocal, st)
+	}
+}
+
+// liveLocked prunes an index in place — dropping requests that were released
+// or are no longer in the table (purged, garbage collected, replaced by a
+// state install) — and returns the survivors.
+func (m *Manager) liveLocked(ix *[]*reqState) []*reqState {
+	live := (*ix)[:0]
+	for _, st := range *ix {
+		if !st.freed && m.reqs[st.req.ID] == st {
+			live = append(live, st)
+		}
+	}
+	clear((*ix)[len(live):])
+	*ix = live
+	return live
 }
 
 func (m *Manager) usableLocked() error {

@@ -88,6 +88,8 @@ func (m *Manager) InstallState(st *State) {
 	m.queues = make(map[ConflictClass][]*reqState, len(st.Queues))
 	m.reqs = make(map[RequestID]*reqState, len(st.Requests))
 	m.earlyFreed = make(map[RequestID]bool)
+	m.wilds = nil
+	m.blockedLocal = nil
 	m.enqueueSeq = st.NextPos
 	for i, req := range st.Requests {
 		rs := &reqState{
@@ -103,6 +105,9 @@ func (m *Manager) InstallState(st *State) {
 			rs.pos = st.Pos[i]
 		}
 		m.reqs[req.ID] = rs
+		if req.Wildcard {
+			m.wilds = append(m.wilds, rs)
+		}
 	}
 	for cc, ids := range st.Queues {
 		q := make([]*reqState, 0, len(ids))

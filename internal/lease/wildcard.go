@@ -25,7 +25,7 @@ func (m *Manager) GetLeaseEverything(old RequestID) (RequestID, error) {
 	if old != (RequestID{}) {
 		if st := m.reqs[old]; st != nil && st.local {
 			st.active--
-			st.blocked = true
+			m.blockLocked(st)
 			st.replacePending = true
 			freeFirst = []RequestID{old}
 		}
@@ -80,13 +80,10 @@ func (m *Manager) wildcardEnabledLocked(st *reqState) bool {
 }
 
 // blockedByWildcardLocked reports whether an older unreleased wildcard
-// precedes the request.
+// precedes the request. It scans only the wildcard index, normally empty.
 func (m *Manager) blockedByWildcardLocked(st *reqState) bool {
-	for _, other := range m.reqs {
-		if other == st || other.freed || !other.enqueued || !other.req.Wildcard {
-			continue
-		}
-		if other.pos < st.pos {
+	for _, other := range m.liveLocked(&m.wilds) {
+		if other != st && other.pos < st.pos {
 			return true
 		}
 	}

@@ -429,6 +429,7 @@ func writeMetrics(w io.Writer, reg *Registry) {
 			{"gcs_outbox", int64(q.GCS.Outbox)},
 			{"gcs_urb_pending", int64(q.GCS.URBPending)},
 			{"gcs_urb_retained", int64(q.GCS.URBRetained)},
+			{"gcs_urb_acks", int64(q.GCS.URBAcks)},
 			{"gcs_seq_queue", int64(q.GCS.SeqQueue)},
 			{"gcs_dispatch", int64(q.GCS.Dispatch)},
 			{"stm_active_txns", int64(s.stats.STM.ActiveTxns)},

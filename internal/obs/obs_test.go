@@ -213,9 +213,9 @@ func TestObsEndpointMetrics(t *testing.T) {
 		t.Fatalf("alc_commits_total{replica=r0} = %v, want >= 25", got.value)
 	}
 
-	// Every replica exposes all eight queue-depth gauges.
+	// Every replica exposes all nine queue-depth gauges.
 	queues := []string{"coalescer", "lease_waiters", "apply_backlog", "gcs_outbox",
-		"gcs_urb_pending", "gcs_urb_retained", "gcs_seq_queue", "gcs_dispatch"}
+		"gcs_urb_pending", "gcs_urb_retained", "gcs_urb_acks", "gcs_seq_queue", "gcs_dispatch"}
 	for _, r := range []string{"r0", "r1", "r2"} {
 		for _, q := range queues {
 			if _, ok := find("alc_queue_depth", map[string]string{"replica": r, "queue": q}); !ok {
@@ -325,6 +325,9 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 	if r0.Store.Boxes == 0 {
 		t.Fatal("r0 store reports zero boxes")
+	}
+	if !strings.Contains(body, `"urbAcks":`) {
+		t.Fatal("/debug/alc queues lack the URB ack-table gauge")
 	}
 
 	code, _ = get(t, "http://"+srv.Addr()+"/debug/pprof/")

@@ -290,13 +290,34 @@ func (s *Store) NumBoxes() int {
 	return n
 }
 
+// beginHook, when set (tests only), runs in Begin between the clock load and
+// the snapshot registration — the window a concurrent GC must not exploit.
+var beginHook func()
+
 // Begin starts a transaction against the current snapshot.
 func (s *Store) Begin(readOnly bool) *Txn {
-	snap := s.clock.Load()
+	// Register the snapshot, then confirm the clock has not moved. GC loads
+	// the clock before it scans the tracker, so a GC that missed the
+	// registration computed its watermark from a clock no newer than snap;
+	// if the clock did move, a GC may already have cut snap's versions:
+	// release and retry at the new clock.
+	var snap int64
+	var shard int
+	for {
+		snap = s.clock.Load()
+		if beginHook != nil {
+			beginHook()
+		}
+		shard = s.snapshots.acquire(snap)
+		if s.clock.Load() == snap {
+			break
+		}
+		s.snapshots.release(snap, shard)
+	}
 	t := &Txn{
 		store:     s,
 		snapshot:  snap,
-		snapShard: s.snapshots.acquire(snap),
+		snapShard: shard,
 		readOnly:  readOnly,
 	}
 	if !readOnly {

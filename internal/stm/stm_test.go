@@ -518,3 +518,44 @@ func TestConcurrentGC(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestBeginRegistersBeforeGC forces a commit and a GC into the window between
+// Begin's clock load and its snapshot registration. The GC cannot see the
+// unregistered snapshot, so its watermark runs past it and cuts the version
+// the snapshot would read; Begin must notice the moved clock and retry
+// rather than hand out a snapshot whose versions are gone.
+func TestBeginRegistersBeforeGC(t *testing.T) {
+	s := NewStore()
+	mustCreate(t, s, "x", 1)
+	tx := s.Begin(false)
+	_ = tx.Write("x", 2)
+	if err := tx.Commit(txnID(1)); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+
+	fired := false
+	beginHook = func() {
+		if fired {
+			return
+		}
+		fired = true
+		w := s.Begin(false)
+		_ = w.Write("x", 3)
+		if err := w.Commit(txnID(2)); err != nil {
+			t.Errorf("Commit in hook: %v", err)
+		}
+		if s.GC() == 0 {
+			t.Error("GC in hook pruned nothing: the window was not exercised")
+		}
+	}
+	defer func() { beginHook = nil }()
+
+	r := s.Begin(true)
+	defer r.Finish()
+	if !fired {
+		t.Fatal("hook did not run")
+	}
+	if got := mustRead(t, r, "x"); got != 3 {
+		t.Fatalf("Read = %v, want 3", got)
+	}
+}
