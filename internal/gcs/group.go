@@ -23,7 +23,11 @@ import (
 //     channel's pending set (as if received), so the origin's retransmission,
 //     non-sender relay, and view-change flush/resubmission machinery cover
 //     all parts from the instant of transmission. There is no lost-loopback
-//     hole: a part cannot be "sent to peers but unknown to self".
+//     hole: a part cannot be "sent to peers but unknown to self". The
+//     origin's retransmissions of a part carry its siblings in the same
+//     frame too: each endpoint retransmits on its own tick, so separate
+//     resends after a lost first frame could hand a peer one part just
+//     before the origin crashes with the other.
 //  3. FIFO preservation — parts occupy ordinary outbox positions, so the
 //     per-(writer, shard) sequence numbers stay monotone with respect to
 //     earlier and later broadcasts on the same channel (the receivers'
@@ -144,14 +148,11 @@ func (g *Group) tryComplete() {
 	}
 
 	// All parts at their heads, all endpoints healthy: assign identities and
-	// self-inject under the locks, transmit after releasing them.
-	type partSend struct {
-		tr      transport.Transport
-		self    transport.ID
-		members []transport.ID
-		data    *urbData
-	}
-	sends := make([]partSend, 0, len(g.eps))
+	// self-inject under the locks, transmit after releasing them. The frame
+	// is complete before any lock is released, so retransmissions (under one
+	// endpoint's lock) always see every part.
+	frame := &groupFrame{}
+	peers := make(map[transport.ID]bool)
 	now := time.Now()
 	for _, e := range g.eps {
 		m := e.outbox[0]
@@ -165,43 +166,51 @@ func (g *Group) tryComplete() {
 			VC:   vs.deliveredVector(),
 			Body: m.body,
 		}
-		vs.pending[d.ID] = &pendingMsg{data: d, sentAt: now}
+		vs.pending[d.ID] = &pendingMsg{data: d, sentAt: now, frame: frame}
 		vs.ackSet(d.ID)[e.self] = true
 		e.ackBatch = append(e.ackBatch, d.ID)
 		e.tryDeliverLocked()
-		sends = append(sends, partSend{
-			tr:      e.tr,
-			self:    e.self,
-			members: append([]transport.ID(nil), e.view.Members...),
-			data:    d,
-		})
+		frame.trs = append(frame.trs, e.tr)
+		frame.parts = append(frame.parts, d)
+		// The peer set is the union of the parts' view memberships (they
+		// agree outside view-change windows); a part sent to a peer outside
+		// its own view is dropped there by the stale-view check, exactly
+		// like any late unicast.
+		for _, m := range e.view.Members {
+			if m != e.self {
+				peers[m] = true
+			}
+		}
 	}
 	g.done = true
 	g.failMu.unlock()
 	unlockAll()
 
-	// One frame per peer carrying every part. The peer set is the union of
-	// the parts' view memberships (they agree outside view-change windows);
-	// a part sent to a peer outside its own view is dropped there by the
-	// stale-view check, exactly like any late unicast.
-	peers := make(map[transport.ID]bool)
-	for _, s := range sends {
-		for _, m := range s.members {
-			if m != s.self {
-				peers[m] = true
-			}
-		}
-	}
-	trs := make([]transport.Transport, len(sends))
-	payloads := make([]any, len(sends))
-	for i, s := range sends {
-		trs[i] = s.tr
-		payloads[i] = s.data
-	}
 	for p := range peers {
-		_ = transport.SendGroup(p, trs, payloads)
+		_ = frame.send(p, nil, nil)
 	}
 	for _, e := range g.eps {
 		e.kick() // flush the self-acks, run any ready upcalls
 	}
+}
+
+// groupFrame is every part of one completed group, with the transport each
+// part travels on: the unit the origin (re)transmits to a peer.
+type groupFrame struct {
+	trs   []transport.Transport
+	parts []*urbData
+}
+
+// send transmits all parts to one peer in a single frame, with part old
+// replaced by its retransmission copy cur (nil: send the parts as they are).
+func (f *groupFrame) send(to transport.ID, old, cur *urbData) error {
+	payloads := make([]any, len(f.parts))
+	for i, d := range f.parts {
+		if d == old {
+			payloads[i] = cur
+		} else {
+			payloads[i] = d
+		}
+	}
+	return transport.SendGroup(to, f.trs, payloads)
 }

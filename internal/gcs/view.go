@@ -75,6 +75,14 @@ func (e *Endpoint) handleNet(msg transport.Message) {
 			delete(e.staleSince, m.From)
 			delete(e.joinReqs, m.From)
 			delete(e.joinFrontiers, m.From)
+		} else if m.View > 0 && m.View < e.view.ID && e.isCoordinatorLocked() {
+			// A member excluded from the view still beacons its old one: the
+			// ejectNotice sent at install was lost (it was cut off then), and
+			// once the partition heals it hears live peers and never suspects
+			// them, so it would wait as a primary member forever. Repeat the
+			// notice; it is ignored by anyone no longer behind (View 0 is a
+			// joiner, already on its way in).
+			_ = e.tr.Send(m.From, &ejectNotice{ViewID: e.view.ID})
 		}
 	case *joinReq:
 		if e.inPrimary {
@@ -98,7 +106,11 @@ func (e *Endpoint) handleNet(msg transport.Message) {
 	case *vcStale:
 		e.handleStale(m)
 	case *ejectNotice:
-		e.ejectLocked()
+		// Only a notice from a view newer than ours concerns us: a late one
+		// must not eject a member readmitted since.
+		if m.ViewID > e.view.ID {
+			e.ejectLocked()
+		}
 	default:
 		e.logf("unknown payload %T from %d", msg.Payload, msg.From)
 	}
